@@ -24,16 +24,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
-from pyspark.sql import types as T
 
+from ..core.buckets import run_buckets, sum_stats
 from ..core.cpsjoin_local import JoinStats
 from ..core.preprocess import preprocess
 from ..core.sketches import matching_bits, sketch_threshold
 from ..core.verify import jaccard
-from .minhash_lsh import _OUT_SCHEMA, reps_for_recall
+from .minhash_lsh import reps_for_recall
 
 __all__ = ["BayesLSHResult", "bayeslsh_join", "incremental_sketch_pass"]
 
@@ -88,7 +87,8 @@ def bayeslsh_join(
     """LSH(k=1) candidate generation + BayesLSH-lite verification; eager."""
     if reps is None:
         reps = reps_for_recall(lam, 1, phi)
-    if pre is None:
+    own_pre = pre is None
+    if own_pre:
         pre = preprocess(sets_df, t=reps, ell=ell, seed=seed).cache()
 
     reps_df = spark.range(reps).select(F.col("id").cast("int").alias("rep"))
@@ -101,68 +101,26 @@ def bayeslsh_join(
         .select("rep", "bkt", "sid", "tokens", "size", "sketch")
     )
 
-    def run_bucket(key, pdf):
-        rep = int(key[0])
-        g = len(pdf)
-        rows_a: list[int] = []
-        rows_b: list[int] = []
-        pre_c = cand_c = res_c = 0
-        if g >= 2:
-            sketch = (
-                np.stack(pdf["sketch"].to_numpy()).astype(np.int64).view(np.uint64)
-            )
-            tokens = [np.asarray(x, dtype=np.int64) for x in pdf["tokens"]]
-            sizes = np.array([len(x) for x in tokens])
-            sids = pdf["sid"].to_numpy()
-            ia, ib = np.triu_indices(g, k=1)
-            pre_c = len(ia)
-            ok = np.minimum(sizes[ia], sizes[ib]) >= lam * np.maximum(
-                sizes[ia], sizes[ib]
-            )
-            for i, j in zip(ia[ok].tolist(), ib[ok].tolist()):
-                passes, _ = incremental_sketch_pass(sketch[i], sketch[j], lam, delta)
-                if not passes:
-                    continue
-                cand_c += 1
-                if jaccard(tokens[i], tokens[j]) >= lam:
-                    res_c += 1
-                    a, b = int(sids[i]), int(sids[j])
-                    rows_a.append(min(a, b))
-                    rows_b.append(max(a, b))
-        out = pd.DataFrame(
-            {
-                "kind": np.zeros(len(rows_a), dtype=np.int32),
-                "a": np.asarray(rows_a, dtype=np.int64),
-                "b": np.asarray(rows_b, dtype=np.int64),
-                "rep": np.full(len(rows_a), rep, dtype=np.int32),
-                "pre_candidates": np.zeros(len(rows_a), dtype=np.int64),
-                "candidates": np.zeros(len(rows_a), dtype=np.int64),
-                "results": np.zeros(len(rows_a), dtype=np.int64),
-            }
+    def kernel(rep, bkt, mh, sketch, tokens):
+        sizes = np.array([len(x) for x in tokens])
+        ia, ib = np.triu_indices(len(tokens), k=1)
+        st = JoinStats(pre_candidates=len(ia))
+        ok = np.minimum(sizes[ia], sizes[ib]) >= lam * np.maximum(
+            sizes[ia], sizes[ib]
         )
-        srow = pd.DataFrame(
-            {
-                "kind": [1], "a": [-1], "b": [-1], "rep": [rep],
-                "pre_candidates": [pre_c],
-                "candidates": [cand_c],
-                "results": [res_c],
-            }
-        )
-        return pd.concat([out, srow], ignore_index=True)
+        pairs = []
+        for i, j in zip(ia[ok].tolist(), ib[ok].tolist()):
+            passes, _ = incremental_sketch_pass(sketch[i], sketch[j], lam, delta)
+            if not passes:
+                continue
+            st.candidates += 1
+            if jaccard(tokens[i], tokens[j]) >= lam:
+                st.results += 1
+                pairs.append((i, j))
+        return np.array(pairs, dtype=np.int64).reshape(-1, 2), st
 
-    out = bucketed.groupBy("rep", "bkt").applyInPandas(
-        run_bucket, schema=_OUT_SCHEMA
-    ).cache()
-    srow = (
-        out.filter("kind = 1")
-        .agg(
-            F.sum("pre_candidates").alias("p"),
-            F.sum("candidates").alias("c"),
-            F.sum("results").alias("r"),
-        )
-        .first()
-    )
-    stats = JoinStats(int(srow["p"] or 0), int(srow["c"] or 0), int(srow["r"] or 0))
+    out = run_buckets(bucketed, "bkt", kernel).cache()
+    stats = sum_stats(out)
     pairs = (
         out.filter("kind = 0")
         .select(F.col("a").alias("sid_a"), F.col("b").alias("sid_b"))
@@ -170,5 +128,8 @@ def bayeslsh_join(
         .cache()
     )
     n_results = pairs.count()
+    out.unpersist()
+    if own_pre:
+        pre.unpersist()
     return BayesLSHResult(pairs=pairs, stats=stats, n_results=n_results,
                           reps=int(reps))

@@ -18,29 +18,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
-from pyspark.sql import types as T
 
+from ..core.buckets import run_buckets, sum_stats
 from ..core.cpsjoin_local import JoinStats, brute_force_pairs_arrays
 from ..core.preprocess import preprocess
 
 __all__ = ["MinHashLSHResult", "minhash_lsh_join", "choose_k", "reps_for_recall"]
-
-_OUT_SCHEMA = T.StructType(
-    [
-        T.StructField("kind", T.IntegerType(), False),
-        T.StructField("a", T.LongType(), False),
-        T.StructField("b", T.LongType(), False),
-        T.StructField("rep", T.IntegerType(), False),
-        T.StructField("pre_candidates", T.LongType(), False),
-        T.StructField("candidates", T.LongType(), False),
-        T.StructField("results", T.LongType(), False),
-    ]
-)
-
 
 @dataclass
 class MinHashLSHResult:
@@ -114,20 +99,22 @@ def minhash_lsh_join(
     least ``k * reps`` MinHash coordinates (each repetition uses its own
     disjoint slice).
     """
+    own_pre = False
     if k is None or pre is None:
-        # Probe embedding for k selection; final embedding sized to fit.
-        probe = pre
-        if probe is None:
-            probe = preprocess(sets_df, t=12, ell=ell, seed=seed).cache()
         if k is None:
+            # Probe embedding for k selection; final embedding sized to fit.
+            probe = pre
+            if probe is None:
+                probe = preprocess(sets_df, t=12, ell=ell, seed=seed).cache()
             k = choose_k(spark, probe, lam, phi=phi, seed=seed)
+            if probe is not pre:
+                probe.unpersist()
         if reps is None:
             reps = reps_for_recall(lam, k, phi)
         need = k * reps
         if pre is None or len(pre.select("mh").first()["mh"]) < need:
-            if pre is None and probe is not None:
-                probe.unpersist()
             pre = preprocess(sets_df, t=need, ell=ell, seed=seed + 1).cache()
+            own_pre = True
     if reps is None:
         reps = reps_for_recall(lam, k, phi)
 
@@ -143,56 +130,11 @@ def minhash_lsh_join(
         .select("rep", "bkt", "sid", "tokens", "size", "sketch")
     )
 
-    def run_bucket(key, pdf):
-        rep = int(key[0])
-        if len(pdf) < 2:
-            return pd.DataFrame(
-                columns=[f.name for f in _OUT_SCHEMA.fields]
-            ).astype({"kind": np.int32, "a": np.int64, "b": np.int64,
-                      "rep": np.int32, "pre_candidates": np.int64,
-                      "candidates": np.int64, "results": np.int64})
-        sketch = np.stack(pdf["sketch"].to_numpy()).astype(np.int64).view(np.uint64)
-        tokens = [np.asarray(x, dtype=np.int64) for x in pdf["tokens"]]
-        sids = pdf["sid"].to_numpy()
-        pairs, st = brute_force_pairs_arrays(None, sketch, tokens, lam, delta=delta)
-        sa = np.minimum(sids[pairs[:, 0]], sids[pairs[:, 1]])
-        sb = np.maximum(sids[pairs[:, 0]], sids[pairs[:, 1]])
-        out = pd.DataFrame(
-            {
-                "kind": np.zeros(len(sa), dtype=np.int32),
-                "a": sa.astype(np.int64),
-                "b": sb.astype(np.int64),
-                "rep": np.full(len(sa), rep, dtype=np.int32),
-                "pre_candidates": np.zeros(len(sa), dtype=np.int64),
-                "candidates": np.zeros(len(sa), dtype=np.int64),
-                "results": np.zeros(len(sa), dtype=np.int64),
-            }
-        )
-        srow = pd.DataFrame(
-            {
-                "kind": [1], "a": [-1], "b": [-1], "rep": [rep],
-                "pre_candidates": [st.pre_candidates],
-                "candidates": [st.candidates],
-                "results": [st.results],
-            }
-        )
-        return pd.concat([out, srow], ignore_index=True)
+    def kernel(rep, bkt, mh, sketch, tokens):
+        return brute_force_pairs_arrays(None, sketch, tokens, lam, delta=delta)
 
-    out = bucketed.groupBy("rep", "bkt").applyInPandas(
-        run_bucket, schema=_OUT_SCHEMA
-    ).cache()
-    srow = (
-        out.filter("kind = 1")
-        .agg(
-            F.sum("pre_candidates").alias("p"),
-            F.sum("candidates").alias("c"),
-            F.sum("results").alias("r"),
-        )
-        .first()
-    )
-    stats = JoinStats(
-        int(srow["p"] or 0), int(srow["c"] or 0), int(srow["r"] or 0)
-    )
+    out = run_buckets(bucketed, "bkt", kernel).cache()
+    stats = sum_stats(out)
     pairs = (
         out.filter("kind = 0")
         .groupBy(F.col("a").alias("sid_a"), F.col("b").alias("sid_b"))
@@ -200,6 +142,9 @@ def minhash_lsh_join(
         .cache()
     )
     n_results = pairs.count()
+    out.unpersist()
+    if own_pre:
+        pre.unpersist()
     return MinHashLSHResult(
         pairs=pairs, stats=stats, n_results=n_results, k=int(k), reps=int(reps)
     )

@@ -6,8 +6,10 @@ root path of repetition ``r`` is ``xxhash64(r, seed)``):
 
 1. bucket sizes via ``groupBy(rep, path)``;
 2. buckets that fit in one task (``<= local_threshold`` records) are
-   grouped with ``applyInPandas`` and finished by the exact in-memory
-   recursion of Algorithms 1+2 (``core.cpsjoin_local``);
+   finished by the exact in-memory recursion of Algorithms 1+2
+   (``core.cpsjoin_local``); ``core.buckets.run_buckets`` runs it on
+   every bucket of a super-group ``pmod(xxhash64(rep, path), n)`` in
+   one Python call, so a bucket costs a kernel call, not a round-trip;
 3. larger buckets get the distributed BRUTEFORCE step: per-bucket
    MinHash-coordinate value counts give every record's average embedded
    similarity to its bucket; records above ``(1 - eps) * lam`` become
@@ -30,28 +32,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
-from pyspark.sql import types as T
 
+from .buckets import OUT_SCHEMA, out_frame, run_buckets, sum_stats
 from .cpsjoin_local import JoinStats, cpsjoin_local_rep
 from .preprocess import preprocess
 from .sketches import sketch_pass
 from .verify import jaccard
 
 __all__ = ["CPSJoinResult", "cpsjoin"]
-
-_OUT_SCHEMA = T.StructType(
-    [
-        T.StructField("kind", T.IntegerType(), False),  # 0 = pair, 1 = stats
-        T.StructField("a", T.LongType(), False),
-        T.StructField("b", T.LongType(), False),
-        T.StructField("pre_candidates", T.LongType(), False),
-        T.StructField("candidates", T.LongType(), False),
-        T.StructField("results", T.LongType(), False),
-    ]
-)
 
 _HASH_MOD = 1 << 31
 
@@ -158,66 +148,25 @@ def cpsjoin(
         )
         level += 1
 
-    stats = JoinStats()
-    result_parts: list[DataFrame] = []
-
-    # --- local buckets: run the full in-memory recursion per bucket ---
+    # --- local buckets: the in-memory recursion, one kernel call each ---
     local_all = local_parts[0]
     for p in local_parts[1:]:
         local_all = local_all.unionByName(p)
-    local_rows = local_all.join(pre, "sid")
 
-    def run_bucket(key, pdf):
-        rep, path = int(key[0]), int(key[1])
-        mh = np.stack(pdf["mh"].to_numpy()).astype(np.int64)
-        sketch = np.stack(pdf["sketch"].to_numpy()).astype(np.int64).view(np.uint64)
-        tokens = [np.asarray(x, dtype=np.int64) for x in pdf["tokens"]]
-        sids = pdf["sid"].to_numpy()
+    def kernel(rep, path, mh, sketch, tokens):
         # Deterministic per-bucket seed (int tuple hashes are unsalted).
         g_seed = np.random.SeedSequence(
             [seed & 0x7FFFFFFF, rep, path & 0x7FFFFFFFFFFFFFFF]
         ).generate_state(1)[0]
-        pairs, st = cpsjoin_local_rep(
+        return cpsjoin_local_rep(
             mh, sketch, tokens, lam,
             limit=limit, eps=eps, delta=delta, seed=int(g_seed),
         )
-        sa = np.minimum(sids[pairs[:, 0]], sids[pairs[:, 1]])
-        sb = np.maximum(sids[pairs[:, 0]], sids[pairs[:, 1]])
-        out = pd.DataFrame(
-            {
-                "kind": np.zeros(len(sa), dtype=np.int32),
-                "a": sa.astype(np.int64),
-                "b": sb.astype(np.int64),
-                "pre_candidates": np.zeros(len(sa), dtype=np.int64),
-                "candidates": np.zeros(len(sa), dtype=np.int64),
-                "results": np.zeros(len(sa), dtype=np.int64),
-            }
-        )
-        srow = pd.DataFrame(
-            {
-                "kind": [1], "a": [-1], "b": [-1],
-                "pre_candidates": [st.pre_candidates],
-                "candidates": [st.candidates],
-                "results": [st.results],
-            }
-        )
-        return pd.concat([out, srow], ignore_index=True)
 
-    local_out = (
-        local_rows.groupBy("rep", "path").applyInPandas(run_bucket, schema=_OUT_SCHEMA)
-    ).cache()
-    lstats = (
-        local_out.filter("kind = 1")
-        .agg(
-            F.sum("pre_candidates").alias("p"),
-            F.sum("candidates").alias("c"),
-            F.sum("results").alias("r"),
-        )
-        .first()
-    )
-    if lstats and lstats["p"] is not None:
-        stats.merge(JoinStats(int(lstats["p"]), int(lstats["c"]), int(lstats["r"])))
-    result_parts.append(local_out.filter("kind = 0").select("a", "b"))
+    local_out = run_buckets(local_all.join(pre, "sid"), "path", kernel).cache()
+    stats = sum_stats(local_out)
+    pairs_df = local_out.filter("kind = 0").select("a", "b")
+    cached = [local_out]
 
     # --- distributed BRUTEFORCEPOINT pairs: shared verification path ---
     if pair_parts:
@@ -229,30 +178,18 @@ def cpsjoin(
         # (duplicate-inclusive) semantics.
         bfp_all = bfp_all.groupBy("a", "b").agg(F.count("*").alias("mult"))
         vout = _verify_pairs_df(bfp_all, pre, lam, delta).cache()
-        vstats = (
-            vout.filter("kind = 1")
-            .agg(
-                F.sum("pre_candidates").alias("p"),
-                F.sum("candidates").alias("c"),
-                F.sum("results").alias("r"),
-            )
-            .first()
-        )
-        if vstats and vstats["p"] is not None:
-            stats.merge(
-                JoinStats(int(vstats["p"]), int(vstats["c"]), int(vstats["r"]))
-            )
-        result_parts.append(vout.filter("kind = 0").select("a", "b"))
+        stats.merge(sum_stats(vout))
+        pairs_df = pairs_df.unionByName(vout.filter("kind = 0").select("a", "b"))
+        cached.append(vout)
 
-    pairs_df = result_parts[0]
-    for p in result_parts[1:]:
-        pairs_df = pairs_df.unionByName(p)
     pairs_df = (
         pairs_df.select(F.col("a").alias("sid_a"), F.col("b").alias("sid_b"))
         .distinct()
         .cache()
     )
     n_results = pairs_df.count()
+    for df in cached:
+        df.unpersist()
     if own_pre:
         pre.unpersist()
     return CPSJoinResult(pairs=pairs_df, stats=stats, n_results=n_results,
@@ -267,8 +204,8 @@ def _verify_pairs_df(
     Each distinct pair is verified once; its ``mult`` (how many times
     the candidate generator produced it) weights the pre-candidate and
     candidate counters so they keep Table IV's duplicate-inclusive
-    semantics.  Emits ``kind=0`` rows for verified results and one
-    ``kind=1`` counter row per Arrow batch.
+    semantics.  Emits ``OUT_SCHEMA`` rows: ``kind=0`` for verified
+    results (``rep = -1``) and one ``kind=1`` counter row per Arrow batch.
     """
     sides = pairs.join(
         pre.select(
@@ -320,24 +257,10 @@ def _verify_pairs_df(
                     ) >= lam:
                         rows_a.append(int(a))
                         rows_b.append(int(b))
-            out = pd.DataFrame(
-                {
-                    "kind": np.zeros(len(rows_a), dtype=np.int32),
-                    "a": np.asarray(rows_a, dtype=np.int64),
-                    "b": np.asarray(rows_b, dtype=np.int64),
-                    "pre_candidates": np.zeros(len(rows_a), dtype=np.int64),
-                    "candidates": np.zeros(len(rows_a), dtype=np.int64),
-                    "results": np.zeros(len(rows_a), dtype=np.int64),
-                }
+            # BRUTEFORCEPOINT pairs belong to no single repetition: rep -1.
+            yield out_frame(
+                rows_a, rows_b, np.full(len(rows_a), -1),
+                JoinStats(n, n_cand, len(rows_a)),
             )
-            srow = pd.DataFrame(
-                {
-                    "kind": [1], "a": [-1], "b": [-1],
-                    "pre_candidates": [n],
-                    "candidates": [n_cand],
-                    "results": [len(rows_a)],
-                }
-            )
-            yield pd.concat([out, srow], ignore_index=True)
 
-    return sides.mapInPandas(run, schema=_OUT_SCHEMA)
+    return sides.mapInPandas(run, schema=OUT_SCHEMA)

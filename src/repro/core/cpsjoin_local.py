@@ -2,9 +2,10 @@
 
 This numpy kernel runs one repetition of the Chosen-Path recursion on a
 bucket of records.  The distributed driver (``core/cpsjoin.py``) calls
-it inside ``applyInPandas`` once a bucket fits in one task; standalone
-it *is* the paper's single-machine algorithm, which the unit tests
-exercise directly.
+it once per bucket that fits in one task, through the super-group
+bucket runner (``core/buckets.py``), which hands it the bucket's rows
+as array slices; standalone it *is* the paper's single-machine
+algorithm, which the unit tests exercise directly.
 
 Recursion per node (set of records ``S``):
 
@@ -154,7 +155,6 @@ def cpsjoin_local_rep(
     delta: float = 0.05,
     seed: int = 0,
     max_depth: int = 96,
-    start_depth: int = 0,
 ) -> tuple[np.ndarray, JoinStats]:
     """One repetition of CPSJoin on an in-memory bucket.
 
@@ -166,7 +166,7 @@ def cpsjoin_local_rep(
     """
     ctx = _Ctx(mh, sketches, tokens, lam, eps, delta, limit, max_depth,
                np.random.default_rng(seed))
-    _node(ctx, np.arange(len(tokens), dtype=np.int64), start_depth)
+    _node(ctx, np.arange(len(tokens), dtype=np.int64), 0)
     if ctx.pairs:
         pairs = np.unique(np.array(ctx.pairs, dtype=np.int64), axis=0)
     else:
