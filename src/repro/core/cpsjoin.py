@@ -4,17 +4,20 @@ Level-by-level Chosen-Path recursion over a DataFrame of
 ``(rep, path, sid)`` rows (all repetitions run in one dataflow; the
 root path of repetition ``r`` is ``xxhash64(r, seed)``):
 
-1. bucket sizes via ``groupBy(rep, path)``;
+1. bucket sizes as a ``count(*)`` window over ``(rep, path)``, written
+   to a local checkpoint (one shuffle, no join back);
 2. buckets that fit in one task (``<= local_threshold`` records) are
    finished by the exact in-memory recursion of Algorithms 1+2
    (``core.cpsjoin_local``); ``core.buckets.run_buckets`` runs it on
    every bucket of a super-group ``pmod(xxhash64(rep, path), n)`` in
    one Python call, so a bucket costs a kernel call, not a round-trip;
-3. larger buckets get the distributed BRUTEFORCE step: per-bucket
-   MinHash-coordinate value counts give every record's average embedded
-   similarity to its bucket; records above ``(1 - eps) * lam`` become
-   BRUTEFORCEPOINT candidate pairs against their whole bucket and leave
-   the recursion;
+3. larger buckets get the distributed BRUTEFORCE step: a ``count(*)``
+   window over ``(rep, path, i, v)`` on the ``posexplode(mh)`` rows and
+   one ``groupBy(rep, path, sid)`` sum give every record's average
+   embedded similarity to its bucket.  The per-record decision (above
+   ``(1 - eps) * lam`` or not) is checkpointed once and read twice:
+   removed records become BRUTEFORCEPOINT candidate pairs against their
+   whole bucket, and only the rest re-attach ``mh`` for step 4;
 4. survivors split: coordinate ``i`` is chosen for a path iff
    ``hash(path, i) < 1/(lam * t)`` (expected ``1/lam`` coordinates per
    node, the §V-A3 heuristic) and the child bucket id is
@@ -25,14 +28,16 @@ root path of repetition ``r`` is ``xxhash64(r, seed)``):
 Candidate pairs from both routes run the shared pipeline: size check,
 1-bit sketch check (false-negative rate ``delta``), exact Jaccard
 verification, global dedup.  Counters follow Table IV semantics
-(candidates counted before dedup).
+(candidates counted before dedup).  After ``max_dist_levels`` levels any
+bucket still above ``local_threshold`` goes to the local kernel anyway;
+``CPSJoinResult.capped`` reports that this safety valve fired.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
-from pyspark.sql import DataFrame, SparkSession
+from pyspark.sql import DataFrame, SparkSession, Window
 from pyspark.sql import functions as F
 
 from .buckets import OUT_SCHEMA, out_frame, run_buckets, sum_stats
@@ -59,6 +64,9 @@ class CPSJoinResult:
     stats: JoinStats
     n_results: int
     levels: int  # distributed levels executed
+    # True when ``max_dist_levels`` sent buckets larger than
+    # ``local_threshold`` to the local kernel (the safety valve fired).
+    capped: bool
 
 
 def cpsjoin(
@@ -97,38 +105,50 @@ def cpsjoin(
         .select("rep", "path", "sid")
     )
 
+    pre_mh = pre.select("sid", "mh")
     local_parts: list[DataFrame] = []
     pair_parts: list[DataFrame] = []  # distributed BRUTEFORCEPOINT pairs
+    capped = False
     level = 0
     while True:
-        sizes = active.groupBy("rep", "path").agg(F.count("*").alias("gsize"))
-        tagged = active.join(sizes, ["rep", "path"]).localCheckpoint(eager=True)
+        tagged = active.withColumn(
+            "gsize", F.count("*").over(Window.partitionBy("rep", "path"))
+        ).localCheckpoint(eager=True)
         small = tagged.filter(
             (F.col("gsize") <= local_threshold) & (F.col("gsize") >= 2)
         )
         local_parts.append(small.select("rep", "path", "sid"))
         big = tagged.filter(F.col("gsize") > local_threshold)
-        if level >= max_dist_levels or big.isEmpty():
-            if level >= max_dist_levels and not big.isEmpty():
-                # Safety valve: ship oversized buckets to the local kernel.
-                local_parts.append(big.select("rep", "path", "sid"))
+        if big.isEmpty():
+            break
+        if level >= max_dist_levels:
+            # Safety valve: ship oversized buckets to the local kernel.
+            local_parts.append(big.select("rep", "path", "sid"))
+            capped = True
             break
 
-        bigm = big.join(pre.select("sid", "mh"), "sid")
-        ex = bigm.select(
-            "rep", "path", "sid", "gsize", F.posexplode("mh").alias("i", "v")
-        )
-        counts = ex.groupBy("rep", "path", "i", "v").agg(F.count("*").alias("cnt"))
-        sims = (
-            ex.join(counts, ["rep", "path", "i", "v"])
+        # One BRUTEFORCE decision per record: cnt[i, v] is how many records
+        # of the bucket share coordinate i's value v, so the record's summed
+        # embedded similarity to the rest of its bucket is sum(cnt - 1).
+        flags = (
+            big.join(pre_mh, "sid")
+            .select("rep", "path", "sid", "gsize",
+                    F.posexplode("mh").alias("i", "v"))
+            .withColumn(
+                "cnt", F.count("*").over(Window.partitionBy("rep", "path", "i", "v"))
+            )
             .groupBy("rep", "path", "sid", "gsize")
             .agg(F.sum(F.col("cnt") - 1).alias("simsum"))
+            .select(
+                "rep", "path", "sid",
+                (F.col("simsum") / (t * (F.col("gsize") - 1)) > (1.0 - eps) * lam)
+                .alias("removed"),
+            )
+            .localCheckpoint(eager=True)
         )
-        removed = sims.filter(
-            F.col("simsum") / (t * (F.col("gsize") - 1)) > (1.0 - eps) * lam
-        ).select("rep", "path", "sid")
         bfp = (
-            removed.withColumnRenamed("sid", "sid_x")
+            flags.filter("removed")
+            .select("rep", "path", F.col("sid").alias("sid_x"))
             .join(big.select("rep", "path", F.col("sid").alias("sid_y")),
                   ["rep", "path"])
             .filter(F.col("sid_x") != F.col("sid_y"))
@@ -138,7 +158,7 @@ def cpsjoin(
             )
         )
         pair_parts.append(bfp)
-        survivors = bigm.join(removed, ["rep", "path", "sid"], "left_anti")
+        survivors = flags.filter(~F.col("removed")).join(pre_mh, "sid")
 
         sel = _unit(F.xxhash64("path", "i", F.lit(seed), F.lit(1))) < 1.0 / (lam * t)
         active = (
@@ -193,7 +213,7 @@ def cpsjoin(
     if own_pre:
         pre.unpersist()
     return CPSJoinResult(pairs=pairs_df, stats=stats, n_results=n_results,
-                         levels=level)
+                         levels=level, capped=capped)
 
 
 def _verify_pairs_df(

@@ -26,13 +26,32 @@ JOINS = {
     ),
 }
 
+# Two more CPSJoin inputs for the pinned test only: local_threshold=40 runs
+# three distributed levels, and max_dist_levels=1 stops after the first one
+# and ships the still-oversized level-1 buckets to the local kernel.
+PINNED_JOINS = {
+    **JOINS,
+    "cpsjoin-3levels": lambda spark, df, pre: cpsjoin(
+        spark, df, 0.5, t=64, ell=8, reps=4, seed=2, local_threshold=40, pre=pre
+    ),
+    "cpsjoin-valve": lambda spark, df, pre: cpsjoin(
+        spark, df, 0.5, t=64, ell=8, reps=4, seed=2, local_threshold=40,
+        max_dist_levels=1, pre=pre,
+    ),
+}
+
 # (n_results, stats.as_tuple()) on DBLP x0.2, seed 0, each join building
 # its own preprocessing, as recorded with one Python call per bucket.
 PINNED = {
     "cpsjoin": (27, (26181, 319, 159)),
     "minhash_lsh_join": (26, (841, 91, 78)),
     "bayeslsh_join": (27, (8380, 72, 64)),
+    # Recorded with the level loop that joined group counts back onto rows.
+    "cpsjoin-3levels": (27, (12953, 265, 181)),
+    "cpsjoin-valve": (27, (26181, 319, 159)),
 }
+# (levels, capped) of the two extra CPSJoin inputs.
+SHAPE = {"cpsjoin-3levels": (3, False), "cpsjoin-valve": (1, True)}
 
 
 @pytest.fixture(scope="module")
@@ -44,11 +63,13 @@ def dblp(spark):
     df.unpersist()
 
 
-@pytest.mark.parametrize("name", list(JOINS))
+@pytest.mark.parametrize("name", list(PINNED_JOINS))
 def test_pairs_and_counters_pinned(spark, dblp, name):
-    res = JOINS[name](spark, dblp, None)
+    res = PINNED_JOINS[name](spark, dblp, None)
     if name == "cpsjoin":
         assert res.levels == 1
+    if name in SHAPE:
+        assert (res.levels, res.capped) == SHAPE[name]
     assert (res.n_results, res.stats.as_tuple()) == PINNED[name]
     res.pairs.unpersist()
 

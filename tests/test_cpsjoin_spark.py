@@ -40,8 +40,22 @@ class TestCorrectness:
             spark, df, 0.5, t=64, ell=8, reps=10, seed=2, local_threshold=40
         )
         assert res.levels >= 1
+        assert not res.capped
         assert precision(res.pairs, truth) == 1.0
         assert recall(res.pairs, truth) >= 0.9
+
+    def test_safety_valve_is_reported(self, spark, dblp):
+        """``max_dist_levels=0`` sends the oversized root buckets straight
+        to the local kernel; the result says so and stays exact."""
+        sets, df = dblp
+        truth = brute_force_join(sets, 0.5)
+        res = cpsjoin(
+            spark, df, 0.5, t=64, ell=8, reps=10, seed=2, local_threshold=40,
+            max_dist_levels=0,
+        )
+        assert res.capped
+        assert res.levels == 0
+        assert precision(res.pairs, truth) == 1.0
 
     def test_no_similar_pairs_yields_empty(self, spark):
         sets = datasets.generate("SPOTIFY", seed=0, scale=0.15)
